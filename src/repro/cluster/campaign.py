@@ -195,12 +195,3 @@ def run_replicated_campaigns(
         return pool.map(run_campaign_replica, specs)
     with RunPool(max_workers=jobs or 1) as owned:
         return owned.map(run_campaign_replica, specs)
-
-
-def merged_coverage(reports: Sequence[Dict[str, float]]) -> Dict[str, float]:
-    """Mean coverage per app across replica reports (deterministic order)."""
-    apps = sorted({app for report in reports for app in report})
-    return {
-        app: sum(report.get(app, 0.0) for report in reports) / len(reports)
-        for app in apps
-    }

@@ -44,45 +44,12 @@ from repro.faults.injector import FaultInjector, TimedAssignment
 from repro.faults.plan import FaultPlan
 from repro.faults.report import DegradationReport
 from repro.hwtrace.cache import DecodeCache, process_decode_cache
-from repro.hwtrace.decoder import DecodedTrace, SoftwareDecoder, encode_trace
+from repro.hwtrace.decoder import encode_trace, upload_session_stats
 from repro.kernel.system import SystemConfig
 from repro.parallel.pool import RunPool
 from repro.program.workloads import WorkloadProfile, get_workload
 from repro.streaming import StreamConfig, StreamingIngestor
 from repro.util.units import MIB, MSEC
-
-
-#: worker-local decoder cache for pool decode fan-out (one per app; the
-#: binary regenerates from the fork-inherited workload cache, so only
-#: cr3s and raw bytes cross the process boundary)
-_WORKER_DECODERS: Dict[str, SoftwareDecoder] = {}
-
-
-def _worker_decoder(app: str, use_cache: bool) -> SoftwareDecoder:
-    """This worker's per-app decoder, cache attached per the task flag."""
-    decoder = _WORKER_DECODERS.get(app)
-    if decoder is None:
-        decoder = SoftwareDecoder({})
-        _WORKER_DECODERS[app] = decoder
-    decoder.cache = process_decode_cache() if use_cache else None
-    return decoder
-
-
-def _decode_session(payload: Tuple[str, Tuple[int, ...], bytes, bool]):
-    """Decode one session's raw bytes in a pool worker (legacy fan-out).
-
-    Returns the decoded trace as shipped SoA columns (shared memory when
-    available); the parent derives the degradation accounting from them,
-    so pooled and sequential decode paths produce identical reports.
-    ``use_cache`` attaches the worker's process-wide decode cache —
-    forked workers inherit the parent's warm entries copy-on-write.
-    """
-    app, cr3s, raw, use_cache = payload
-    decoder = _worker_decoder(app, use_cache)
-    binary = get_workload(app).binary()
-    for cr3 in cr3s:
-        decoder.add_binary(cr3, binary)
-    return decoder.decode(raw, resilient=True).to_shipped()
 
 
 def _warm_worker_binary(app: str) -> None:
@@ -92,16 +59,6 @@ def _warm_worker_binary(app: str) -> None:
     code generation in every worker mid-wave.
     """
     get_workload(app).binary()
-
-
-def _session_stats(decoded: DecodedTrace) -> Tuple[int, int, int, int]:
-    """(records, functions, resyncs, bytes_skipped) for one decoded trace."""
-    return (
-        len(decoded),
-        len(decoded.function_histogram()),
-        decoded.resyncs,
-        decoded.bytes_skipped,
-    )
 
 
 @dataclass(frozen=True)
@@ -342,17 +299,23 @@ def _run_shard(payload) -> List[SlotOutcome]:
         pod = next(p for p in node.pods if p.uid == slot_task.pod_uid)
         outcome = _run_slot(node, pod, slot_task, policy, injector)
         if outcome.completed and decode:
-            decoder = _worker_decoder(slot_task.app, use_cache)
-            decoder.add_binary(outcome.cr3, get_workload(slot_task.app).binary())
-            decoded = decoder.decode(outcome.raw, resilient=True)
-            (
-                outcome.records,
-                outcome.functions,
-                outcome.resyncs,
-                outcome.bytes_skipped,
-            ) = _session_stats(decoded)
+            _decode_outcome(
+                outcome,
+                get_workload(slot_task.app).binary(),
+                process_decode_cache() if use_cache else None,
+            )
         outcomes.append(outcome)
     return outcomes
+
+
+def _decode_outcome(outcome: SlotOutcome, binary, cache) -> None:
+    """Write a completed outcome's upload session stats in place."""
+    (
+        outcome.records,
+        outcome.functions,
+        outcome.resyncs,
+        outcome.bytes_skipped,
+    ) = upload_session_stats(binary, outcome.cr3, outcome.raw, cache)
 
 
 @dataclass
@@ -426,9 +389,6 @@ class ClusterMaster:
         #: across node removals, so churn replacements never reuse (and
         #: thereby resurrect) a drained node's name
         self._name_floor: Dict[str, int] = {}
-        #: one decoder per app, reused across tasks; new pods only extend
-        #: its cr3 mapping (SoftwareDecoder.add_binary)
-        self._decoders: Dict[str, SoftwareDecoder] = {}
         #: task name -> pod uid -> {thread label: coverage intervals},
         #: recorded at reconcile time (profiling campaigns read this
         #: instead of reaching into node facilities, which may have run
@@ -542,18 +502,6 @@ class ClusterMaster:
         self.tasks.append(task)
         return task
 
-    def _decoder_for(
-        self, app: str, binary, cr3s: Tuple[int, ...]
-    ) -> SoftwareDecoder:
-        """The app's shared decoder, its mapping extended to cover ``cr3s``."""
-        decoder = self._decoders.get(app)
-        if decoder is None:
-            decoder = SoftwareDecoder({}, cache=self.decode_cache)
-            self._decoders[app] = decoder
-        for cr3 in cr3s:
-            decoder.add_binary(cr3, binary)
-        return decoder
-
     # -- sharded reconcile ------------------------------------------------------
 
     def _dispatch_round(
@@ -618,14 +566,7 @@ class ClusterMaster:
                 pod = pods_by_uid[slot_task.pod_uid]
                 outcome = _run_slot(node, pod, slot_task, policy, injector)
                 if outcome.completed and decode:
-                    decoder = self._decoder_for(app, binary, (outcome.cr3,))
-                    decoded = decoder.decode(outcome.raw, resilient=True)
-                    (
-                        outcome.records,
-                        outcome.functions,
-                        outcome.resyncs,
-                        outcome.bytes_skipped,
-                    ) = _session_stats(decoded)
+                    _decode_outcome(outcome, binary, self.decode_cache)
                 outcomes.append(outcome)
         outcomes.sort(key=lambda outcome: outcome.slot)
         return outcomes

@@ -105,8 +105,7 @@ class DecodeCache:
 
     Keys are ``(binary fingerprint, body bytes)``; values are
     :class:`ChunkEntry` objects.  The cache is safe to share across
-    decoders, threads (``decode_many``'s thread fan-out), tasks, and
-    campaigns — sharing is the point: one process-wide instance (see
+    decoders, threads, tasks, and campaigns — sharing is the point: one process-wide instance (see
     :func:`process_decode_cache`) amortizes decode work across every
     reconcile in the process.
     """
@@ -329,12 +328,11 @@ def plan_chunks(data: bytes, buf: np.ndarray, psb: bytes) -> Optional[ChunkPlan]
     tail_ok = tail_ovf & (buf[ovf_at] == 0x02) & (buf[np.minimum(ovf_at + 1, n - 1)] == 0xF3)
     canonical = canonical & ((remainder == 0) | tail_ok)
 
-    # canonical chunks always have 32 in-bounds header bytes; zero the
-    # start of non-canonical ones so the masked gather never indexes past
-    # the buffer end
-    safe_starts = np.where(canonical, starts, 0)
-    times = np.where(canonical, _gather_le(buf, safe_starts, _TSC_OFF + 1, 7), 0)
-    cr3s = np.where(canonical, _gather_le(buf, safe_starts, _PIP_OFF + 2, 6), 0)
+    # only canonical chunks are sure to hold 32 in-bounds header bytes
+    times = np.zeros(starts.size, dtype=np.int64)
+    cr3s = np.zeros(starts.size, dtype=np.int64)
+    times[canonical] = _gather_le(buf, starts[canonical], _TSC_OFF + 1, 7)
+    cr3s[canonical] = _gather_le(buf, starts[canonical], _PIP_OFF + 2, 6)
     return ChunkPlan(
         starts=starts,
         ends=ends,

@@ -13,9 +13,8 @@ process**, shared by every pool consumer:
   deque*, so one decode-heavy cell cannot straggle the whole wave while
   siblings idle;
 * **warm state reuse** — workers fork once and survive across ``map``
-  calls, so memoized decoder tables (``_POOL_DECODERS``), the process
-  decode cache, and generated binary/path caches stay warm from one wave
-  to the next instead of being rebuilt per call;
+  calls, so the process decode cache and generated binary/path caches
+  stay warm from one wave to the next instead of being rebuilt per call;
 * **determinism** — results are merged by task index (a pure function of
   ``(fn, items)``), and the worker reseeds the global ``random`` /
   ``numpy`` generators from ``derive_seed(base_seed, "task", index)``

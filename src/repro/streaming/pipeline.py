@@ -33,12 +33,16 @@ Determinism contract — the property everything here is built around:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hwtrace.cache import process_decode_cache
-from repro.hwtrace.decoder import SoftwareDecoder, split_canonical_stream
+from repro.hwtrace.cache import ChunkEntry, process_decode_cache
+from repro.hwtrace.decoder import (
+    SoftwareDecoder,
+    split_canonical_stream,
+    upload_session_stats,
+)
 from repro.program.workloads import get_workload
 from repro.streaming.backpressure import CreditController
 from repro.streaming.deadletter import DeadLetterQueue
@@ -46,26 +50,28 @@ from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
 
 
-#: worker-local decoder memo for the streaming consumers (one per app;
-#: binaries regenerate from the fork-inherited workload cache)
-_STREAM_DECODERS: Dict[str, SoftwareDecoder] = {}
+def _decode_chunks(binary, cache, items) -> Iterator[Tuple[object, ChunkEntry]]:
+    """``(key, ChunkEntry)`` for each chunk work unit, in order.
 
-
-def _stream_decoder(app: str, use_cache: bool) -> SoftwareDecoder:
-    """This worker's per-app streaming decoder, cache per the task flag."""
-    decoder = _STREAM_DECODERS.get(app)
-    if decoder is None:
-        decoder = SoftwareDecoder({})
-        _STREAM_DECODERS[app] = decoder
-    decoder.cache = process_decode_cache() if use_cache else None
-    return decoder
+    ``items`` are ``(key, upload_cr3, cr3, body)``.  Each upload gets its
+    own decoder mapping only the upload's cr3, so a chunk whose header
+    PIP names any other cr3 decodes unresolved, exactly as the upload's
+    whole-stream decode would.
+    """
+    decoders: Dict[object, SoftwareDecoder] = {}
+    for key, upload_cr3, cr3, body in items:
+        decoder = decoders.get(key)
+        if decoder is None:
+            decoder = SoftwareDecoder({upload_cr3: binary}, cache=cache)
+            decoders[key] = decoder
+        yield key, decoder.decode_chunk(cr3, body)
 
 
 def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], int]]:
     """Decode one consumer's batch of chunk work units in a pool worker.
 
-    ``payload`` is ``(app, use_cache, items)`` with items
-    ``(key, cr3, body)``.  Returns per upload key the kept record
+    ``payload`` is ``(app, use_cache, items)`` with items as for
+    :func:`_decode_chunks`.  Returns per upload key the kept record
     count, the *distinct* function ids among kept records, and the
     unresolved count — the commutative pieces session stats aggregate
     from, small enough to ride the result pipe.  Chunks of the same key
@@ -73,17 +79,14 @@ def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], in
     never pays a per-chunk ``np.unique``.
     """
     app, use_cache, items = payload
-    decoder = _stream_decoder(app, use_cache)
-    binary = get_workload(app).binary()
-    known_cr3s = set()
     records: Dict[object, int] = {}
     functions: Dict[object, List[np.ndarray]] = {}
     unresolved: Dict[object, int] = {}
-    for key, cr3, body in items:
-        if cr3 not in known_cr3s:
-            decoder.add_binary(cr3, binary)
-            known_cr3s.add(cr3)
-        entry = decoder.decode_chunk(cr3, body)
+    for key, entry in _decode_chunks(
+        get_workload(app).binary(),
+        process_decode_cache() if use_cache else None,
+        items,
+    ):
         if key in records:
             records[key] += entry.block_ids.size
             unresolved[key] += entry.unresolved
@@ -110,18 +113,14 @@ def _replay_upload(payload) -> Tuple[int, int, int, int]:
     """Resilient whole-stream decode of one dead-lettered upload.
 
     ``payload`` is ``(app, use_cache, cr3, raw)``; returns the batch
-    path's session-stat tuple ``(records, functions, resyncs,
-    bytes_skipped)`` for the same bytes.
+    path's session-stat tuple for the same bytes.
     """
     app, use_cache, cr3, raw = payload
-    decoder = _stream_decoder(app, use_cache)
-    decoder.add_binary(cr3, get_workload(app).binary())
-    decoded = decoder.decode(raw, resilient=True)
-    return (
-        len(decoded),
-        len(decoded.function_histogram()),
-        decoded.resyncs,
-        decoded.bytes_skipped,
+    return upload_session_stats(
+        get_workload(app).binary(),
+        cr3,
+        raw,
+        process_decode_cache() if use_cache else None,
     )
 
 
@@ -261,10 +260,9 @@ class StreamingIngestor:
         self.config = config or StreamConfig()
         self.app = app
         self._binary = binary
+        self._cache = decode_cache
         self._use_cache = decode_cache is not None
         self._pool = pool if (pool is not None and pool.parallel) else None
-        self._decoder = SoftwareDecoder({}, cache=decode_cache)
-        self._known_cr3s: Set[int] = set()
         self.queue = VirtualDecodeQueue(self.config.virtual_consumers)
         self.controller = CreditController(
             capacity=self.config.queue_capacity,
@@ -276,7 +274,7 @@ class StreamingIngestor:
         self.stats = StreamStats()
         self._clock = 0
         self._lags: List[int] = []
-        self._pending: List[Tuple[object, int, bytes]] = []
+        self._pending: List[Tuple[object, int, int, bytes]] = []
         self._outcomes: Dict[object, object] = {}
         self._accumulators: Dict[object, _SessionAccumulator] = {}
         self._final: Dict[object, Tuple[int, int, int, int]] = {}
@@ -325,6 +323,7 @@ class StreamingIngestor:
         batch_chunks = config.batch_chunks
         clock = self._clock
         pending = self._pending
+        upload_cr3 = outcome.cr3
         for cr3, body in units:
             arrival = pace(queue, clock + gap_ns)
             start, _completion = admit(
@@ -332,7 +331,7 @@ class StreamingIngestor:
             )
             clock = arrival
             record_lag(start - arrival)
-            pending.append((key, cr3, body))
+            pending.append((key, upload_cr3, cr3, body))
             if len(pending) >= batch_chunks:
                 self._clock = clock
                 self._flush()
@@ -372,15 +371,9 @@ class StreamingIngestor:
                     )
                 self.stats.unresolved_records += unresolved
             return
-        decoder = self._decoder
-        known_cr3s = self._known_cr3s
         accumulators = self._accumulators
         unresolved_total = 0
-        for key, cr3, body in batch:
-            if cr3 not in known_cr3s:
-                decoder.add_binary(cr3, self._binary)
-                known_cr3s.add(cr3)
-            entry = decoder.decode_chunk(cr3, body)
+        for key, entry in _decode_chunks(self._binary, self._cache, batch):
             accumulator = accumulators[key]
             accumulator.records += entry.block_ids.size
             if entry.function_ids.size:
@@ -393,27 +386,20 @@ class StreamingIngestor:
         entries = self.dead_letters.entries
         if not entries:
             return
-        results_by_key: Dict[object, Tuple[int, int, int, int]] = {}
+        uploads = [(self._outcomes[e.key].cr3, e.payload) for e in entries]
         if self._pool is not None:
-            payloads = [
-                (self.app, self._use_cache, self._outcomes[e.key].cr3, e.payload)
-                for e in entries
-            ]
-            for entry, result in zip(
-                entries, self._pool.map(_replay_upload, payloads)
-            ):
-                results_by_key[entry.key] = tuple(result)
+            results = self._pool.map(
+                _replay_upload,
+                [(self.app, self._use_cache, cr3, raw) for cr3, raw in uploads],
+            )
         else:
-            decoder = self._decoder
-            for entry in entries:
-                decoder.add_binary(self._outcomes[entry.key].cr3, self._binary)
-                decoded = decoder.decode(entry.payload, resilient=True)
-                results_by_key[entry.key] = (
-                    len(decoded),
-                    len(decoded.function_histogram()),
-                    decoded.resyncs,
-                    decoded.bytes_skipped,
-                )
+            results = [
+                upload_session_stats(self._binary, cr3, raw, self._cache)
+                for cr3, raw in uploads
+            ]
+        results_by_key = {
+            entry.key: tuple(result) for entry, result in zip(entries, results)
+        }
         for entry, result in self.dead_letters.replay(
             lambda e: results_by_key.get(e.key)
         ):

@@ -11,14 +11,17 @@ import json
 
 import pytest
 
-from repro.cluster.master import RetryPolicy
+from repro.cluster.crd import TraceTaskSpec
+from repro.cluster.master import ClusterMaster, RetryPolicy
 from repro.cluster.node import STOP_NODE_CRASH, ClusterNode
 from repro.cluster.pod import PodPhase
-from repro.core.config import TracingRequest
+from repro.core.config import TraceReason, TracingRequest
 from repro.experiments.scenarios import chaos_sweep, run_chaos_scenario
 from repro.faults import DegradationReport, FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.hwtrace.decoder import SoftwareDecoder, encode_trace
+from repro.parallel.pool import RunPool
 from repro.program.workloads import get_workload
+from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
 
 pytestmark = pytest.mark.chaos
@@ -341,3 +344,33 @@ class TestDeterminism:
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
+
+
+def _chaos_reconcile(pool, streaming):
+    """One seed-5 chaos reconcile of a fresh 5-node, 5-replica Search1 fleet.
+
+    The smallest fleet found whose corrupted uploads decoded differently on
+    a reused pool when worker decoders kept earlier uploads' cr3 mappings.
+    Returns the structured rows and the degradation-report JSON.
+    """
+    reset_identity_counters()
+    master = ClusterMaster(seed=5)
+    master.add_nodes(5, base_seed=5000)
+    master.deploy("Search1", replicas=5)
+    task = master.submit(
+        TraceTaskSpec(app="Search1", reason=TraceReason.ANOMALY, period_ns=100 * MSEC)
+    )
+    master.reconcile(
+        task, faults=FaultPlan.parse("chaos", seed=5), pool=pool, streaming=streaming
+    )
+    return master.sessions_for(task), task.status.degradation.to_json()
+
+
+@pytest.mark.slow
+class TestPersistentPoolDeterminism:
+    @pytest.mark.parametrize("streaming", [True, False], ids=["streaming", "batch"])
+    def test_repeated_pool_reconciles_match_jobs1(self, streaming):
+        reference = _chaos_reconcile(None, streaming)
+        with RunPool(max_workers=2) as pool:
+            for _ in range(2):
+                assert _chaos_reconcile(pool, streaming) == reference

@@ -131,34 +131,6 @@ class TestByteIdentity:
         assert cache.fallbacks == 1
 
 
-class TestDecodeMany:
-    def test_pool_fanout_matches_sequential(self, tiny_path, tiny_binary):
-        from repro.parallel import RunPool
-
-        streams = [
-            encode_trace([make_segment(tiny_path, e1=30, t0=100 + 10 * i)])
-            for i in range(5)
-        ]
-        sequential = SoftwareDecoder({0x1000: tiny_binary}).decode_many(streams)
-        cached = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
-        with RunPool(max_workers=2) as pool:
-            pooled = cached.decode_many(streams, pool=pool)
-        assert_identical(sequential, pooled)
-
-    def test_inprocess_pool_matches_sequential(self, tiny_path, tiny_binary):
-        from repro.parallel import RunPool
-
-        streams = [
-            encode_trace([make_segment(tiny_path, e1=20, t0=50 * i)])
-            for i in range(3)
-        ]
-        decoder = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
-        with RunPool(max_workers=1) as pool:
-            pooled = decoder.decode_many(streams, pool=pool)
-        sequential = SoftwareDecoder({0x1000: tiny_binary}).decode_many(streams)
-        assert_identical(sequential, pooled)
-
-
 class TestEviction:
     def test_tiny_budget_evicts_lru(self, tiny_path, tiny_binary):
         cache = DecodeCache(max_bytes=2048)

@@ -11,7 +11,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.hwtrace.cache import DecodeCache
 from repro.hwtrace.codec import scan_stream, scan_stream_resilient
 from repro.hwtrace.decoder import DecodedTrace, SoftwareDecoder, encode_trace, encode_trace_objects
 from repro.hwtrace.packets import (
@@ -262,3 +265,76 @@ class TestSoaView:
             ptwrites=list(decoded.ptwrites),
         )
         assert_traces_equal(decoded, rebuilt)
+
+
+#: one stream edit: overwrite a byte, insert bytes, or cut the tail
+_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 16), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16), st.just(b"")),
+)
+
+
+def _mutate(base: bytes, edits) -> bytes:
+    data = bytearray(base)
+    for kind, position, payload in edits:
+        at = position % (len(data) + 1)
+        if kind == "flip" and data:
+            data[at % len(data)] = payload
+        elif kind == "insert":
+            data[at:at] = payload
+        elif kind == "truncate":
+            del data[at:]
+    return bytes(data)
+
+
+def _fuzz_base(path) -> bytes:
+    # repeated bodies under two cr3s (cache hits within one stream), a
+    # truncated chunk, and a cr3 no decoder maps
+    return encode_trace([
+        make_segment(path, cr3=0x1000, e0=0, e1=40, t0=100),
+        make_segment(path, cr3=0x2000, e0=0, e1=40, t0=200),
+        make_segment(path, cr3=0x1000, e0=40, e1=90, t0=300, truncate=60),
+        make_segment(path, cr3=0x3000, e0=5, e1=30, t0=400),
+    ])
+
+
+class TestDecodeRouteFuzz:
+    """The cached and uncached routes against the object-level reference."""
+
+    @staticmethod
+    def _decoders(tiny_binary):
+        mapping = {0x1000: tiny_binary, 0x2000: tiny_binary}
+        return (
+            SoftwareDecoder(mapping, cache=DecodeCache()),
+            SoftwareDecoder(mapping),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(_EDITS, max_size=6))
+    def test_resilient_routes_agree(self, tiny_path, tiny_binary, edits):
+        data = _mutate(_fuzz_base(tiny_path), edits)
+        cached, uncached = self._decoders(tiny_binary)
+        via_cache = cached.decode(data, resilient=True)
+        plain = uncached.decode(data, resilient=True)
+        reference = uncached.decode_objects(data, resilient=True)
+        assert_traces_equal(via_cache, reference)
+        assert_traces_equal(plain, reference)
+        assert via_cache.bytes_skipped == plain.bytes_skipped <= len(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(_EDITS, max_size=6))
+    def test_strict_routes_fail_together(self, tiny_path, tiny_binary, edits):
+        data = _mutate(_fuzz_base(tiny_path), edits)
+        cached, uncached = self._decoders(tiny_binary)
+        outcomes = []
+        for decode in (cached.decode, uncached.decode, uncached.decode_objects):
+            try:
+                outcomes.append(decode(data))
+            except PacketError as error:
+                outcomes.append(error)
+        failed = [isinstance(outcome, PacketError) for outcome in outcomes]
+        assert all(failed) or not any(failed)
+        if not any(failed):
+            assert_traces_equal(outcomes[0], outcomes[2])
+            assert_traces_equal(outcomes[1], outcomes[2])

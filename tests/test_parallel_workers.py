@@ -178,26 +178,3 @@ class TestRunPoolFacade:
             assert pool.map(_square, [2]) == [4]
         shutdown_process_pool()
         assert not multiprocessing.active_children()
-
-    def test_decode_many_identical_with_and_without_pool(
-        self, tiny_path, tiny_binary
-    ):
-        import numpy as np
-
-        from repro.hwtrace.decoder import SoftwareDecoder, encode_trace
-        from tests.test_hwtrace_decoder import make_segment
-
-        streams = [
-            encode_trace([make_segment(tiny_path, t0=t, t1=t + 50)])
-            for t in (100, 50, 200)
-        ]
-        decoder = SoftwareDecoder({0x1000: tiny_binary})
-        serial = decoder.decode_many(streams)
-        with RunPool(max_workers=2) as pool:
-            parallel = decoder.decode_many(streams, pool=pool)
-        for column in ("timestamps", "cr3s", "block_ids", "function_ids"):
-            assert np.array_equal(
-                getattr(serial, column), getattr(parallel, column)
-            )
-        assert serial.unresolved == parallel.unresolved
-        assert serial.overflows == parallel.overflows

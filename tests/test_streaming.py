@@ -8,6 +8,7 @@ flow through the dead-letter quarantine instead of the in-band decoder.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.hwtrace.decoder import (
     SoftwareDecoder,
     encode_trace,
     split_canonical_stream,
+    upload_session_stats,
 )
 from repro.hwtrace.tracer import TraceSegment
 from repro.streaming import (
@@ -301,3 +303,23 @@ class TestIngestorContract:
         assert ingestor.finish() is stats  # idempotent
         with pytest.raises(RuntimeError):
             ingestor.submit(object())
+
+    def test_chunks_resolve_only_under_the_uploads_cr3(self, tiny_path, tiny_binary):
+        # a canonical upload whose second chunk's PIP names another cr3
+        # (a flipped PIP byte keeps the framing canonical): streaming must
+        # leave that chunk unresolved, exactly like the batch decode
+        raw = encode_trace([
+            make_segment(tiny_path, cr3=0x1000, t0=100),
+            make_segment(tiny_path, cr3=0x2000, e0=50, e1=90, t0=200),
+        ])
+        outcome = SimpleNamespace(
+            slot=0, cr3=0x1000, label="n/a", raw=raw,
+            records=0, functions=0, resyncs=0, bytes_skipped=0,
+        )
+        ingestor = StreamingIngestor(app="Search1", binary=tiny_binary)
+        ingestor.submit(outcome)
+        stats = ingestor.finish()
+        assert stats.unresolved_records == 40
+        assert (
+            outcome.records, outcome.functions, outcome.resyncs, outcome.bytes_skipped
+        ) == upload_session_stats(tiny_binary, 0x1000, raw)
